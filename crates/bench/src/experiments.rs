@@ -836,7 +836,7 @@ pub struct CodecBenchRow {
 /// bytes pushed through encode + compress, best of 3 — both paths move the
 /// same plain bytes, so the column ratio is the scratch-reuse speedup).
 /// `Raw` is not a row: `None` and `Some(Raw)` both take the uncompressed
-/// path, which [`CodecBenchRow`] already measures. The LZSS codecs
+/// path, which [`CodecBenchRow`] already measures. The LZ codecs
 /// (snappy, zlib-*) are the ones with per-call match-finder tables to
 /// amortize; `varint-delta` never had per-call compressor state, so its
 /// two paths are expected near parity — its row exists for the

@@ -373,6 +373,8 @@ impl EdgeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphh_graph::generators::{GraphGenerator, RmatGenerator};
+    use graphh_partition::{Spe, SpeConfig};
 
     fn tile(id: TileId, edges_per_target: usize) -> Tile {
         let adjacency: Vec<Vec<(u32, f32)>> = (0..10)
@@ -540,6 +542,36 @@ mod tests {
         // Stale stamps never roll recency backwards.
         assert!(cache.lookup(0, 1).is_some());
         assert_eq!(cache.clock(), 4);
+    }
+
+    /// Snappy must shrink the tiles of a generated RMAT graph to under 3/4
+    /// of their raw bytes. A cache capped at 3/4 of the tile bytes (the
+    /// paper's single-server case, and the `pagerank-edge-cache` benchmark)
+    /// then selects snappy and keeps every tile resident; a codec change that
+    /// loses this margin would silently push tiles back to disk.
+    #[test]
+    fn snappy_keeps_rmat_tiles_resident_in_three_quarters_of_their_bytes() {
+        let graph = RmatGenerator::new(14, 16).generate(7);
+        let config = SpeConfig::with_tile_count("rmat-14", &graph, 64);
+        let tiles = Spe::partition(&graph, &config).unwrap().tiles;
+        let serialized: Vec<Vec<u8>> = tiles.iter().map(Tile::to_bytes).collect();
+        let raw: u64 = serialized.iter().map(|b| b.len() as u64).sum();
+        let packed: u64 = serialized
+            .iter()
+            .map(|b| Codec::Snappy.compress(b).len() as u64)
+            .sum();
+        let ratio = packed as f64 / raw as f64;
+        assert!(ratio < 0.75, "snappy tile ratio {ratio:.3}");
+
+        let cache = EdgeCache::new(EdgeCacheConfig::auto(raw * 3 / 4), raw);
+        assert_eq!(cache.codec(), Codec::Snappy);
+        for (stamp, (tile, bytes)) in tiles.iter().zip(&serialized).enumerate() {
+            cache.admit(tile.tile_id, bytes, &Arc::new(tile.clone()), stamp as u64);
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.resident_tiles, tiles.len() as u64);
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(stats.used_bytes, packed);
     }
 
     #[test]

@@ -439,7 +439,7 @@ impl MessageCodec {
     }
 
     /// [`MessageCodec::encode_into`] with caller-owned compressor state: the
-    /// LZSS codecs reuse `comp`'s match-finder tables across messages instead
+    /// LZ codecs reuse `comp`'s match-finder tables across messages instead
     /// of re-allocating them per call, so with all three of `scratch`, `wire`
     /// and `comp` reused the steady-state *compressed* encode allocates
     /// nothing either. Wire bytes, encoding choice and the metric charge are

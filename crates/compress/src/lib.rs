@@ -53,10 +53,9 @@ impl std::fmt::Display for CompressError {
 
 impl std::error::Error for CompressError {}
 
-/// Reusable per-compressor state for the broadcast hot path: the LZSS
-/// match-finder's hash-chain tables and delta buffer (reset in O(1) via a
-/// generation stamp, see [`lz77::Scratch`]) plus local, non-atomic call
-/// statistics.
+/// Reusable per-compressor state for the broadcast hot path: the LZ
+/// match-finder's hash-chain tables (reset in O(1) via a generation stamp,
+/// see [`lz77::Scratch`]) plus local, non-atomic call statistics.
 ///
 /// One instance lives with each encode lane / run loop; threading it through
 /// [`Codec::compress_into_with`] makes the steady-state *compressed* encode
@@ -202,7 +201,7 @@ impl Codec {
         self.compress_into_with(data, out, &mut CompressorScratch::new());
     }
 
-    /// [`Codec::compress_into`] with caller-owned compressor state: the LZSS
+    /// [`Codec::compress_into`] with caller-owned compressor state: the LZ
     /// codecs reuse `scratch`'s match-finder tables instead of re-allocating
     /// them per call, which removes every steady-state allocation from the
     /// compressed broadcast path. Output is byte-identical to [`Codec::compress`]

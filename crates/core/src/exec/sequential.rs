@@ -76,7 +76,7 @@ impl Executor for SequentialExecutor {
         let mut enc_scratch: Vec<u8> = Vec::new();
         let mut wire: Vec<u8> = Vec::new();
         let mut dec_scratch: Vec<u8> = Vec::new();
-        // Persistent compressor state (LZSS match-finder tables): reused for
+        // Persistent compressor state (LZ match-finder tables): reused for
         // every compressed message of the run, making the compressed encode
         // path allocation-free too; flushed into `compress.*` at run end.
         let mut comp = graphh_compress::CompressorScratch::new();

@@ -42,7 +42,7 @@ struct EncodeLane {
     enc_scratch: PooledBuf,
     /// Wire bytes of this lane's message.
     wire: PooledBuf,
-    /// Persistent LZSS compressor state, reused for the whole run.
+    /// Persistent LZ compressor state, reused for the whole run.
     comp: CompressorScratch,
     /// Compression seconds this lane's message was charged (per-message value,
     /// summed in index order by the ship loop).

@@ -5,7 +5,7 @@
 //! message, compress it, frame it for the wire, decode every received message
 //! into the shared update buffer, merge — must perform **zero heap
 //! allocations** once the reusable buffers (including the persistent
-//! [`CompressorScratch`] holding the LZSS match-finder tables) are warm, on
+//! [`CompressorScratch`] holding the LZ match-finder tables) are warm, on
 //! the uncompressed path *and* on every compressed codec path. A counting
 //! global allocator measures exactly that: warm the buffers with one full
 //! superstep, snapshot the allocation counter, run many more supersteps, and
