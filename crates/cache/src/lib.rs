@@ -14,7 +14,10 @@
 //! `Arc<[u8]>` and decompress outside the cache lock on each hit. Recency can be
 //! stamped explicitly by the caller ([`EdgeCache::lookup`] / [`EdgeCache::admit`]),
 //! which is how the engine keeps LRU state deterministic when `threads_per_server`
-//! workers probe the cache concurrently.
+//! workers probe the cache concurrently. Admission splits in two for the same
+//! reason: [`EdgeCache::prepare`] compresses a missed tile without taking the
+//! lock, so workers compress in parallel, and [`EdgeCache::admit_prepared`]
+//! charges, evicts and inserts, which the engine does on one thread in tile order.
 //!
 //! The cache records hits, misses, evictions and the decompression time it incurs so
 //! the engine can charge them to the superstep's cost.
@@ -141,6 +144,16 @@ pub struct TileFetch {
     pub decompress_seconds: f64,
 }
 
+/// A missed tile made ready for admission by [`EdgeCache::prepare`]: already
+/// compressed (or, in raw mode, the decoded tile) and sized, waiting for
+/// [`EdgeCache::admit_prepared`] to insert it.
+#[derive(Debug)]
+pub struct PreparedTile {
+    data: Stored,
+    charged_bytes: u64,
+    compress_seconds: f64,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     entries: HashMap<TileId, Entry>,
@@ -243,41 +256,47 @@ impl EdgeCache {
         }
     }
 
-    /// Admit a tile after a miss, with an explicit recency stamp (see
-    /// [`EdgeCache::lookup`]). Oldest tiles are evicted until the new entry
-    /// fits; if the tile alone exceeds the capacity it is not cached.
+    /// Make a missed tile ready for admission: compress it (or, in raw mode,
+    /// keep the decoded tile) and size it. Takes no lock and touches no cache
+    /// state, so any thread can prepare tiles concurrently; the entry only
+    /// becomes visible through [`EdgeCache::admit_prepared`].
     ///
     /// `serialized` is the tile's on-disk form (sizes the entry and feeds the
     /// compressor); `decoded` is the already-parsed tile the caller obtained
     /// from those bytes — raw mode stores it directly so later hits skip the
-    /// parse. Returns the compression time charged (0 for raw mode), so the
-    /// caller can fold it into its own metrics deterministically.
-    pub fn admit(
-        &self,
-        tile_id: TileId,
-        serialized: &[u8],
-        decoded: &Arc<Tile>,
-        stamp: u64,
-    ) -> f64 {
-        let (data, charged_bytes, compress_seconds) = match self.codec {
-            Codec::Raw => (
-                Stored::Raw(Arc::clone(decoded)),
-                serialized.len() as u64,
-                0.0,
-            ),
+    /// parse.
+    pub fn prepare(&self, serialized: &[u8], decoded: &Arc<Tile>) -> PreparedTile {
+        match self.codec {
+            Codec::Raw => PreparedTile {
+                data: Stored::Raw(Arc::clone(decoded)),
+                charged_bytes: serialized.len() as u64,
+                compress_seconds: 0.0,
+            },
             codec => {
                 let blob = codec.compress(serialized);
-                // Compression throughput is of the same order as decompression
-                // for the codecs we model; reuse the decompression figure.
-                let seconds = serialized.len() as f64 / codec.decompress_throughput();
-                let charged = blob.len() as u64;
-                (
-                    Stored::Compressed(Arc::from(blob.into_boxed_slice())),
-                    charged,
-                    seconds,
-                )
+                PreparedTile {
+                    charged_bytes: blob.len() as u64,
+                    data: Stored::Compressed(Arc::from(blob.into_boxed_slice())),
+                    // Compression throughput is of the same order as
+                    // decompression for the codecs we model; reuse the
+                    // decompression figure.
+                    compress_seconds: serialized.len() as f64 / codec.decompress_throughput(),
+                }
             }
-        };
+        }
+    }
+
+    /// Insert a tile made ready by [`EdgeCache::prepare`], with an explicit
+    /// recency stamp (see [`EdgeCache::lookup`]). Oldest tiles are evicted
+    /// until the new entry fits; if the entry alone exceeds the capacity it
+    /// is not cached. Returns the compression time charged (0 for raw mode),
+    /// so the caller can fold it into its own metrics deterministically.
+    pub fn admit_prepared(&self, tile_id: TileId, prepared: PreparedTile, stamp: u64) -> f64 {
+        let PreparedTile {
+            data,
+            charged_bytes,
+            compress_seconds,
+        } = prepared;
         let mut inner = self.inner.lock();
         inner.clock = inner.clock.max(stamp);
         inner.compress_seconds += compress_seconds;
@@ -305,6 +324,18 @@ impl EdgeCache {
             },
         );
         compress_seconds
+    }
+
+    /// Admit a tile after a miss: [`EdgeCache::prepare`] followed by
+    /// [`EdgeCache::admit_prepared`]. Returns the compression time charged.
+    pub fn admit(
+        &self,
+        tile_id: TileId,
+        serialized: &[u8],
+        decoded: &Arc<Tile>,
+        stamp: u64,
+    ) -> f64 {
+        self.admit_prepared(tile_id, self.prepare(serialized, decoded), stamp)
     }
 
     /// Reserve a unique access-order stamp: the clock is incremented under
@@ -542,6 +573,104 @@ mod tests {
         // Stale stamps never roll recency backwards.
         assert!(cache.lookup(0, 1).is_some());
         assert_eq!(cache.clock(), 4);
+    }
+
+    /// `prepare` + `admit_prepared` is `admit`, step for step: same returned
+    /// compression time, occupancy, evictions and LRU victims, for every
+    /// codec, also when the tiles were prepared on other threads.
+    #[test]
+    fn prepared_admission_matches_admit() {
+        let tiles: Vec<Tile> = (0..8).map(|id| tile(id, 10 + 7 * id as usize)).collect();
+        let serialized: Vec<Vec<u8>> = tiles.iter().map(Tile::to_bytes).collect();
+        let decoded: Vec<Arc<Tile>> = tiles.into_iter().map(Arc::new).collect();
+        for codec in [Codec::Raw, Codec::Snappy, Codec::Zlib1, Codec::Zlib3] {
+            let charged: u64 = serialized
+                .iter()
+                .map(|b| match codec {
+                    Codec::Raw => b.len() as u64,
+                    c => c.compress(b).len() as u64,
+                })
+                .sum();
+            // Room for about a third of the tiles, so admissions evict.
+            let config = EdgeCacheConfig {
+                capacity_bytes: charged / 3,
+                mode: CacheMode::Fixed(codec),
+            };
+            let whole = EdgeCache::new(config, 0);
+            let split = EdgeCache::new(config, 0);
+            let prepared: Vec<PreparedTile> = std::thread::scope(|scope| {
+                let handles: Vec<_> = serialized
+                    .iter()
+                    .zip(&decoded)
+                    .map(|(bytes, tile)| scope.spawn(|| split.prepare(bytes, tile)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let mut stamp = 0;
+            for (id, prepared) in prepared.into_iter().enumerate() {
+                let tile_id = id as TileId;
+                stamp += 1;
+                let expected = whole.admit(tile_id, &serialized[id], &decoded[id], stamp);
+                assert_eq!(prepared.compress_seconds, expected, "{codec:?}");
+                assert_eq!(split.admit_prepared(tile_id, prepared, stamp), expected);
+                // Re-touch tile 0 so the victims are not plain FIFO order.
+                stamp += 1;
+                assert_eq!(
+                    whole.lookup(0, stamp).is_some(),
+                    split.lookup(0, stamp).is_some()
+                );
+                assert_eq!(whole.stats(), split.stats(), "{codec:?} after tile {id}");
+                for probe in 0..8 {
+                    assert_eq!(whole.contains(probe), split.contains(probe));
+                }
+            }
+            let stats = split.stats();
+            assert!(stats.evictions > 0, "{codec:?}: no eviction pressure");
+            assert!(stats.used_bytes <= split.capacity());
+            assert_eq!(stats.compress_seconds > 0.0, codec != Codec::Raw);
+            // Every resident tile still decodes to the admitted tile.
+            for (id, tile) in decoded.iter().enumerate() {
+                if let Some(fetch) = split.lookup(id as TileId, stamp + 1) {
+                    assert_eq!(*fetch.tile, **tile);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_tile_larger_than_capacity_is_not_cached() {
+        let small = Arc::new(tile(0, 2));
+        let big = Arc::new(tile(1, 60));
+        for codec in [Codec::Raw, Codec::Snappy, Codec::Zlib1, Codec::Zlib3] {
+            let sizer = EdgeCache::new(
+                EdgeCacheConfig {
+                    capacity_bytes: u64::MAX,
+                    mode: CacheMode::Fixed(codec),
+                },
+                0,
+            );
+            let big_bytes = sizer.prepare(&big.to_bytes(), &big).charged_bytes;
+            let small_bytes = sizer.prepare(&small.to_bytes(), &small).charged_bytes;
+            assert!(small_bytes < big_bytes, "{codec:?}");
+            let cache = EdgeCache::new(
+                EdgeCacheConfig {
+                    capacity_bytes: big_bytes - 1,
+                    mode: CacheMode::Fixed(codec),
+                },
+                0,
+            );
+            cache.admit(0, &small.to_bytes(), &small, 1);
+            let prepared = cache.prepare(&big.to_bytes(), &big);
+            let seconds = prepared.compress_seconds;
+            assert_eq!(cache.admit_prepared(1, prepared, 2), seconds);
+            assert!(!cache.contains(1), "{codec:?}");
+            // The oversized entry evicted nothing on its way out.
+            assert!(cache.contains(0), "{codec:?}");
+            let stats = cache.stats();
+            assert_eq!(stats.evictions, 0);
+            assert_eq!(stats.resident_tiles, 1);
+            assert_eq!(stats.used_bytes, small_bytes);
+        }
     }
 
     /// Snappy must shrink the tiles of a generated RMAT graph to under 3/4

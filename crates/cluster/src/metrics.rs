@@ -39,6 +39,8 @@ pub struct ServerMetrics {
     pub cache_hits: u64,
     /// Edge-cache misses.
     pub cache_misses: u64,
+    /// Tiles evicted from the edge cache to make room for admitted ones.
+    pub cache_evictions: u64,
     /// Tiles skipped thanks to the Bloom filter.
     pub tiles_skipped: u64,
     /// Tiles processed.
@@ -65,6 +67,7 @@ impl ServerMetrics {
         self.messages_produced += other.messages_produced;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.cache_evictions += other.cache_evictions;
         self.tiles_skipped += other.tiles_skipped;
         self.tiles_processed += other.tiles_processed;
         self.peak_memory_bytes = self.peak_memory_bytes.max(other.peak_memory_bytes);
@@ -224,10 +227,12 @@ mod tests {
             disk_read_bytes: 20,
             peak_memory_bytes: 80,
             cache_misses: 3,
+            cache_evictions: 2,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.edges_processed, 15);
+        assert_eq!(a.cache_evictions, 2);
         assert_eq!(a.disk_read_bytes, 120);
         assert_eq!(a.peak_memory_bytes, 80);
         assert!((a.cache_hit_ratio() - 0.25).abs() < 1e-9);

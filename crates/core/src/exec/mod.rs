@@ -25,7 +25,7 @@ use crate::bloom::BloomFilter;
 use crate::engine::{GraphHConfig, RunResult};
 use crate::gab::{Direction, DirectionMode, FrontierStats, GabProgram, InitContext, VertexContext};
 use crate::{EngineError, Result};
-use graphh_cache::{CacheStats, EdgeCache, EdgeCacheConfig};
+use graphh_cache::{CacheStats, EdgeCache, EdgeCacheConfig, PreparedTile};
 use graphh_cluster::{BroadcastMessage, CostModel, MemoryTracker, MessageCodec, ServerMetrics};
 use graphh_compress::Codec;
 use graphh_graph::ids::{ServerId, TileId, VertexId};
@@ -362,8 +362,8 @@ pub struct ServerState {
     pub tiles: Vec<TileId>,
     /// Serialized tiles as stored on the server's local disk — a real
     /// [`StorageBackend`] behind an [`IoMeter`], so every byte the engine
-    /// actually moves (staging writes, cache-miss reads, admission re-reads)
-    /// is metered; see [`ServerState::io_snapshot`].
+    /// actually moves (staging writes, one read per cache miss) is metered;
+    /// see [`ServerState::io_snapshot`].
     disk: MeteredBackend<MemoryBackend>,
     /// Storage key of each assigned tile, precomputed so the cache-miss path
     /// does no string formatting.
@@ -401,9 +401,9 @@ struct TileOutcome {
     metrics: ServerMetrics,
     /// The broadcast message, if the tile produced updates.
     message: Option<BroadcastMessage>,
-    /// The decoded tile, when it missed the cache and should be admitted by
-    /// the post-join pass.
-    admit: Option<Arc<Tile>>,
+    /// The tile, already compressed by the worker, when it missed the cache
+    /// and should be inserted by the post-join pass.
+    admit: Option<PreparedTile>,
     /// Decoded in-memory size, for transient-memory accounting (0 if skipped).
     tile_memory_bytes: u64,
 }
@@ -502,10 +502,11 @@ impl ServerState {
 
     /// Real bytes/ops moved through this server's local-disk backend so far.
     ///
-    /// This is *actual-storage* accounting, distinct from the simulated
-    /// [`ServerMetrics`] disk counters: a cache miss reads the blob once to
-    /// decode and once more to admit, so the meter legitimately counts the
-    /// admission re-read that the simulated model does not charge.
+    /// This is *actual-storage* accounting, measured at the backend; the
+    /// simulated [`ServerMetrics`] disk counters model the same traffic. A
+    /// cache miss reads the blob exactly once (the worker decodes the tile
+    /// and prepares its admission from that one read), so the meter's read
+    /// bytes equal the summed simulated `disk_read_bytes`.
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.disk.meter().snapshot()
     }
@@ -590,9 +591,11 @@ impl ServerState {
     ///   the per-tile outputs are reduced **in tile order** after the join —
     ///   including the floating-point codec-time sums,
     /// * cache recency is stamped by tile position (not lock-acquisition
-    ///   order) and admissions of missed tiles are deferred to a post-join
-    ///   pass in tile order, so the LRU state — and therefore every later
-    ///   superstep's hit/miss/eviction sequence — is schedule-independent.
+    ///   order); a worker compresses the tile it missed
+    ///   ([`EdgeCache::prepare`], no lock), but the insertion itself is
+    ///   deferred to a post-join pass in tile order, so the LRU state — and
+    ///   therefore every later superstep's hit/miss/eviction sequence — is
+    ///   schedule-independent.
     pub fn run_tile_phase(
         &mut self,
         program: &dyn GabProgram,
@@ -606,6 +609,7 @@ impl ServerState {
         // deterministic (push supersteps never touch the cache, so the clock
         // simply does not advance on them — identically on every executor).
         let stamp_base = self.cache.clock();
+        let evictions_before = self.cache.stats().evictions;
         let outcomes: Vec<Result<TileOutcome>> = match frontier.direction {
             Direction::Push => self.push_outcomes(program, plan, superstep, frontier),
             // `resolve_direction` never returns `Auto`; treat it as pull.
@@ -615,24 +619,19 @@ impl ServerState {
         };
 
         // Deterministic reduction, in tile order: fold metrics (fixing the
-        // floating-point summation order), collect messages, and admit the
-        // tiles that missed — evictions therefore replay identically for any
-        // thread count.
+        // floating-point summation order), collect messages, and insert the
+        // tiles that missed (compressed by the workers already) — evictions
+        // therefore replay identically for any thread count.
         let mut metrics = ServerMetrics::default();
         let mut messages = Vec::new();
         let mut transient = Vec::with_capacity(self.tiles.len());
         for (i, outcome) in outcomes.into_iter().enumerate() {
             let outcome = outcome?;
             metrics.merge(&outcome.metrics);
-            if let Some(tile) = outcome.admit {
-                let tile_id = self.tiles[i];
-                let blob = self
-                    .disk
-                    .get(&self.tile_keys[&tile_id])
-                    .expect("assigned tile must be on local disk");
+            if let Some(prepared) = outcome.admit {
                 metrics.compress_seconds +=
                     self.cache
-                        .admit(tile_id, &blob, &tile, stamp_base + 1 + i as u64);
+                        .admit_prepared(self.tiles[i], prepared, stamp_base + 1 + i as u64);
             }
             if let Some(message) = outcome.message {
                 messages.push(message);
@@ -647,8 +646,9 @@ impl ServerState {
         let concurrent_tile_bytes: u64 = transient.iter().take(threads.max(1)).sum();
         self.memory.with_transient(concurrent_tile_bytes, |_| ());
 
-        self.memory
-            .set_component("edge-cache", self.cache.stats().used_bytes);
+        let cache = self.cache.stats();
+        metrics.cache_evictions = cache.evictions - evictions_before;
+        self.memory.set_component("edge-cache", cache.used_bytes);
         metrics.peak_memory_bytes = self.memory.peak();
 
         Ok(TilePhaseOutput { metrics, messages })
@@ -721,9 +721,10 @@ impl ServerState {
                     metrics.disk_read_bytes += blob.len() as u64;
                     metrics.disk_read_ops += 1;
                     let tile = Arc::new(Tile::from_bytes(&blob)?);
-                    // Admission is deferred to the post-join pass so
-                    // evictions happen in tile order on one thread.
-                    admit = Some(Arc::clone(&tile));
+                    // Compress here, on the pool; the insertion is deferred
+                    // to the post-join pass so evictions happen in tile
+                    // order on one thread.
+                    admit = Some(cache.prepare(&blob, &tile));
                     tile
                 }
             };
@@ -1059,5 +1060,36 @@ mod tests {
         let s0 = ServerState::build(&cfg, &plan, &p, 0);
         assert_eq!(s0.values.len() as u64, plan.num_vertices);
         assert!(s0.peak_memory() > 0);
+    }
+
+    /// A cache miss reads its tile from the local disk once: the worker
+    /// prepares the admission from the blob it decoded, so the backend's
+    /// metered reads equal the simulated `disk_read_bytes`, also with a
+    /// compressed cache that evicts.
+    #[test]
+    fn cache_miss_reads_the_local_disk_once() {
+        let g = RmatGenerator::new(8, 8).generate(4);
+        let p = Spe::partition(&g, &SpeConfig::with_tile_count("t", &g, 8)).unwrap();
+        let tile_bytes: u64 = p.tiles.iter().map(Tile::serialized_size).sum();
+        let mut cfg =
+            GraphHConfig::paper_default(ClusterConfig::paper_testbed(1)).with_threads_per_server(2);
+        cfg.cache_mode = graphh_cache::CacheMode::Fixed(Codec::Snappy);
+        cfg.cache_capacity = Some(tile_bytes / 4);
+        let program = PageRank::new(3);
+        let plan = ExecutionPlan::prepare(&cfg, &p, &program).unwrap();
+        let mut server = ServerState::build(&cfg, &plan, &p, 0);
+        let staged = server.io_snapshot();
+        let mut simulated = 0;
+        for superstep in 0..3 {
+            let view = plan.frontier_view(&program, &[]);
+            let phase = server
+                .run_tile_phase(&program, &plan, superstep, &view, true)
+                .unwrap();
+            simulated += phase.metrics.disk_read_bytes;
+        }
+        assert!(server.cache_stats().evictions > 0, "no eviction pressure");
+        let read = server.io_snapshot().bytes_read - staged.bytes_read;
+        assert!(read > 0);
+        assert_eq!(read, simulated);
     }
 }

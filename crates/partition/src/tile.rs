@@ -196,19 +196,34 @@ impl Tile {
     }
 
     /// Deserialize a tile previously produced by [`Tile::to_bytes`].
+    ///
+    /// The bytes are untrusted (they come off a disk or out of a cache blob):
+    /// every count in the header is checked against the bytes actually present
+    /// before anything is allocated, and the offsets must start at 0, never
+    /// decrease and end at the edge count, so a tile that parses can be walked
+    /// without panicking. Malformed input is an `Err`, never a panic.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if *pos + n > data.len() {
+            let have = data.len() - *pos;
+            if n > have {
                 return Err(PartitionError::Corrupt(format!(
-                    "tile truncated at offset {} (need {n} bytes, have {})",
-                    *pos,
-                    data.len() - *pos
+                    "tile truncated at offset {} (need {n} bytes, have {have})",
+                    *pos
                 )));
             }
             let slice = &data[*pos..*pos + n];
             *pos += n;
             Ok(slice)
+        };
+        // Byte length of an array of `count` elements of `width` bytes.
+        let array_len = |count: u64, width: u64| -> Result<usize> {
+            count
+                .checked_mul(width)
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| {
+                    PartitionError::Corrupt(format!("tile array of {count} entries is too large"))
+                })
         };
         let magic = take(&mut pos, 8)?;
         if magic != TILE_MAGIC {
@@ -221,27 +236,34 @@ impl Tile {
             return Err(PartitionError::Corrupt("tile target range inverted".into()));
         }
         let weighted = take(&mut pos, 1)?[0] != 0;
-        let num_edges = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let num_targets = (target_end - target_start) as usize;
-        let mut offsets = Vec::with_capacity(num_targets + 1);
-        for _ in 0..=num_targets {
-            offsets.push(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
-        }
-        if offsets.last().copied().unwrap_or(0) as usize != num_edges {
+        let num_edges = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+        let num_targets = u64::from(target_end - target_start);
+        let offsets: Vec<u64> = take(&mut pos, array_len(num_targets + 1, 8)?)?
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        if offsets.last().copied().unwrap_or(0) != num_edges {
             return Err(PartitionError::Corrupt(
                 "tile offsets inconsistent with edge count".into(),
             ));
         }
-        let mut sources = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            sources.push(u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()));
+        if offsets[0] != 0 || offsets.windows(2).any(|w| w[1] < w[0]) {
+            return Err(PartitionError::Corrupt(
+                "tile offsets do not start at 0 and ascend".into(),
+            ));
         }
+        let edge_bytes = array_len(num_edges, 4)?;
+        let sources: Vec<VertexId> = take(&mut pos, edge_bytes)?
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
         let weights = if weighted {
-            let mut ws = Vec::with_capacity(num_edges);
-            for _ in 0..num_edges {
-                ws.push(f32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()));
-            }
-            Some(ws)
+            Some(
+                take(&mut pos, edge_bytes)?
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+                    .collect(),
+            )
         } else {
             None
         };

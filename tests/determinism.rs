@@ -148,6 +148,78 @@ fn threads_per_server_axis_is_bit_identical() {
     }
 }
 
+/// Compressed edge caches that cannot hold the tile set: the pool workers
+/// compress the tiles they missed in parallel, while insertion and eviction
+/// replay in tile order after the join. Every thread count on either executor
+/// must match the T=1 sequential run bit for bit, down to each superstep's
+/// per-server cache hits, misses and evictions.
+#[test]
+fn compressed_cache_under_eviction_pressure_is_bit_identical() {
+    use graphh::cache::CacheMode;
+    use graphh::compress::Codec;
+
+    const SERVERS: u32 = 2;
+    let g = RmatGenerator::new(8, 6).generate(SEEDS[1]);
+    let p = Spe::partition(&g, &SpeConfig::with_tile_count("det", &g, 16)).unwrap();
+    let tile_bytes: u64 = p.tiles.iter().map(|t| t.serialized_size()).sum();
+    let programs: Vec<(&str, Box<dyn GabProgram>)> = vec![
+        ("pagerank", Box::new(PageRank::new(6))),
+        ("sssp", Box::new(Sssp::new(0))),
+    ];
+    for codec in [Codec::Snappy, Codec::Zlib1] {
+        let mut config = GraphHConfig::paper_default(ClusterConfig::paper_testbed(SERVERS));
+        config.cache_mode = CacheMode::Fixed(codec);
+        // A quarter of each server's raw tile bytes: below the compressed
+        // tile set, so admissions evict.
+        config.cache_capacity = Some(tile_bytes / u64::from(SERVERS) / 4);
+        for (name, program) in &programs {
+            let run = |threads: u32, executor: Arc<dyn Executor>| {
+                GraphHEngine::with_executor(
+                    config.clone().with_threads_per_server(threads),
+                    executor,
+                )
+                .run(&p, program.as_ref())
+                .unwrap()
+            };
+            let reference = run(1, Arc::new(SequentialExecutor::new()));
+            let evictions: u64 = reference
+                .metrics
+                .supersteps
+                .iter()
+                .flat_map(|s| &s.servers)
+                .map(|m| m.cache_evictions)
+                .sum();
+            assert!(evictions > 0, "{name} {codec:?}: no eviction pressure");
+            for threads in [1u32, 2, 4] {
+                let executors: [(&str, Arc<dyn Executor>); 2] = [
+                    ("seq", Arc::new(SequentialExecutor::new())),
+                    ("thr", Arc::new(ThreadedExecutor::new())),
+                ];
+                for (label, executor) in executors {
+                    let what = format!("{name} {codec:?} {label} T={threads}");
+                    let result = run(threads, executor);
+                    assert_bit_identical(&reference, &result, &what);
+                    assert_eq!(result.cache_codec, codec, "{what}");
+                    for (a, b) in reference
+                        .metrics
+                        .supersteps
+                        .iter()
+                        .zip(&result.metrics.supersteps)
+                    {
+                        for (sid, (x, y)) in a.servers.iter().zip(&b.servers).enumerate() {
+                            let at = format!("{what}: superstep {} server {sid}", a.superstep);
+                            assert_eq!(x.cache_hits, y.cache_hits, "{at} hits");
+                            assert_eq!(x.cache_misses, y.cache_misses, "{at} misses");
+                            assert_eq!(x.cache_evictions, y.cache_evictions, "{at} evictions");
+                            assert_eq!(x.disk_read_bytes, y.disk_read_bytes, "{at} disk");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The executors also agree across every communication mode / compressor
 /// combination, so the wire path cannot smuggle in nondeterminism.
 #[test]
