@@ -735,14 +735,9 @@ pub fn runtime_report(
     writeln!(
         out,
         "plane microbench (2 endpoints, {} supersteps x {} x {} B broadcasts): \
-         socket={:.6}s poll={:.6}s socket/poll={:.2}x (poll coalesces each \
-         superstep's frames into one batched, vectored write per peer)",
-        plane.supersteps,
-        plane.messages_per_superstep,
-        plane.payload_bytes,
-        plane.socket_seconds,
-        plane.poll_seconds,
-        plane.ratio()
+         poll={:.6}s (each superstep's frames go out as one batched, vectored \
+         write per peer)",
+        plane.supersteps, plane.messages_per_superstep, plane.payload_bytes, plane.poll_seconds,
     )
     .unwrap();
     for row in &codec.rows {
@@ -1108,13 +1103,10 @@ pub fn pool_spawn_microbench() -> PoolBench {
     }
 }
 
-/// Measured loopback wall-clock of the two TCP broadcast planes on the same
-/// exchange — the transport axis of the runtime record. `socket` burns one
-/// reader thread per peer; `poll` drives every peer from a single event-loop
-/// thread (see `docs/WIRE.md` §5 and the `graphh-node --plane` flag). On a
-/// 2-endpoint loopback the two are expected to be close; the poll plane's
-/// advantage is thread *footprint* at larger cluster sizes, not 2-node
-/// latency.
+/// Measured loopback wall-clock of the TCP broadcast plane
+/// ([`graphh_runtime::PollPlane`], one event-loop thread per endpoint; see
+/// `docs/WIRE.md` §5) on a fixed exchange — the transport axis of the
+/// runtime record.
 pub struct PlaneBench {
     /// Supersteps per measurement.
     pub supersteps: u32,
@@ -1122,23 +1114,14 @@ pub struct PlaneBench {
     pub messages_per_superstep: usize,
     /// Bytes per broadcast payload.
     pub payload_bytes: usize,
-    /// Best-of-3 seconds over [`graphh_runtime::SocketPlane`].
-    pub socket_seconds: f64,
     /// Best-of-3 seconds over [`graphh_runtime::PollPlane`].
     pub poll_seconds: f64,
 }
 
-impl PlaneBench {
-    /// Socket-plane time over poll-plane time (>1 means poll was faster).
-    pub fn ratio(&self) -> f64 {
-        self.socket_seconds / self.poll_seconds.max(1e-12)
-    }
-}
-
 /// Measure [`PlaneBench`]: two endpoints over loopback, 32 supersteps of
-/// 8 × 4 KiB broadcasts each, best of 3 per plane.
+/// 8 × 4 KiB broadcasts each, best of 3.
 pub fn plane_loopback_microbench() -> PlaneBench {
-    use graphh_runtime::{BoundTcpPlane, BroadcastPlane, TcpPlaneKind};
+    use graphh_runtime::{BroadcastPlane, PollPlane};
     use std::net::SocketAddr;
     use std::time::Instant;
 
@@ -1146,7 +1129,7 @@ pub fn plane_loopback_microbench() -> PlaneBench {
     const MESSAGES: usize = 8;
     const PAYLOAD: usize = 4096;
 
-    fn exchange(mut plane: Box<dyn BroadcastPlane>, payload: &[u8]) {
+    fn exchange(mut plane: PollPlane, payload: &[u8]) {
         for s in 0..SUPERSTEPS {
             for _ in 0..MESSAGES {
                 plane.broadcast(s, payload).expect("broadcast");
@@ -1158,13 +1141,12 @@ pub fn plane_loopback_microbench() -> PlaneBench {
     }
 
     // Measures one full 2-endpoint run: bind, establish, exchange, teardown
-    // (teardown is part of the cost story — the socket plane joins 2 reader
-    // threads, the poll plane 1 event loop, per endpoint).
-    fn run_once(kind: TcpPlaneKind, payload: &[u8]) -> f64 {
+    // (teardown joins each endpoint's event-loop thread).
+    fn run_once(payload: &[u8]) -> f64 {
         let started = Instant::now();
         std::thread::scope(|scope| {
-            let bound: Vec<BoundTcpPlane> = (0..2)
-                .map(|sid| BoundTcpPlane::bind(kind, sid, 2, "127.0.0.1:0").expect("bind"))
+            let bound: Vec<_> = (0..2)
+                .map(|sid| PollPlane::bind(sid, 2, "127.0.0.1:0").expect("bind"))
                 .collect();
             let addrs: Vec<SocketAddr> = bound.iter().map(|b| b.local_addr().unwrap()).collect();
             for b in bound {
@@ -1176,17 +1158,13 @@ pub fn plane_loopback_microbench() -> PlaneBench {
     }
 
     let payload = vec![0x5au8; PAYLOAD];
-    let best_of_3 = |kind: TcpPlaneKind| {
-        (0..3)
-            .map(|_| run_once(kind, &payload))
-            .fold(f64::INFINITY, f64::min)
-    };
     PlaneBench {
         supersteps: SUPERSTEPS,
         messages_per_superstep: MESSAGES,
         payload_bytes: PAYLOAD,
-        socket_seconds: best_of_3(TcpPlaneKind::Socket),
-        poll_seconds: best_of_3(TcpPlaneKind::Poll),
+        poll_seconds: (0..3)
+            .map(|_| run_once(&payload))
+            .fold(f64::INFINITY, f64::min),
     }
 }
 
@@ -1585,15 +1563,13 @@ pub fn runtime_json(
     .unwrap();
     writeln!(
         out,
-        "  \"planes_swept\": [\"socket\", \"poll\"],\n  \
+        "  \"planes_swept\": [\"poll\"],\n  \
          \"plane_microbench\": {{\"endpoints\": 2, \"supersteps\": {}, \"messages_per_superstep\": {}, \
-         \"payload_bytes\": {}, \"socket_s\": {:.6}, \"poll_s\": {:.6}, \"socket_over_poll\": {:.4}}},",
+         \"payload_bytes\": {}, \"poll_s\": {:.6}}},",
         plane.supersteps,
         plane.messages_per_superstep,
         plane.payload_bytes,
-        plane.socket_seconds,
         plane.poll_seconds,
-        plane.ratio()
     )
     .unwrap();
     writeln!(
@@ -1686,12 +1662,11 @@ mod tests {
         assert!(f6a.contains("UK-2014"));
     }
 
-    /// The transport axis must actually run on both planes (a hang or
-    /// deadlock here would stall CI's `report runtime` step).
+    /// The transport axis must actually run (a hang or deadlock here would
+    /// stall CI's `report runtime` step).
     #[test]
-    fn plane_microbench_measures_both_planes() {
+    fn plane_microbench_measures_the_poll_plane() {
         let bench = plane_loopback_microbench();
-        assert!(bench.socket_seconds > 0.0);
         assert!(bench.poll_seconds > 0.0);
         let codec = CodecBench {
             range: 1,
@@ -1706,7 +1681,7 @@ mod tests {
             &codec,
             &tiny_phases(),
         );
-        assert!(json.contains("\"planes_swept\": [\"socket\", \"poll\"]"));
+        assert!(json.contains("\"planes_swept\": [\"poll\"]"));
         assert!(json.contains("\"plane_microbench\""));
         assert!(json.contains("\"codec_microbench\""));
         assert!(json.contains("\"phase_breakdown\""));
@@ -1776,7 +1751,6 @@ mod tests {
             supersteps: 0,
             messages_per_superstep: 0,
             payload_bytes: 0,
-            socket_seconds: 1.0,
             poll_seconds: 1.0,
         }
     }

@@ -13,10 +13,9 @@
 use crate::generators::{ChungLuGenerator, GraphGenerator};
 use crate::properties::GraphStats;
 use crate::Graph;
-use serde::{Deserialize, Serialize};
 
 /// The four benchmark datasets of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// Twitter follower graph (42M vertices, 1.5B edges, 25 GB CSV).
     Twitter2010,
@@ -102,7 +101,7 @@ impl Dataset {
 }
 
 /// A concrete, generatable specification of a dataset stand-in.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetSpec {
     /// Which paper dataset this stands in for.
     pub dataset: Dataset,

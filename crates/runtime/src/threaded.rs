@@ -1,7 +1,7 @@
 //! The threaded executor: one OS thread per simulated server.
 //!
 //! Spawns a scoped thread per server, wires them into a [`ChannelPlane`] and a
-//! [`SuperstepBarrier`], runs [`run_worker_traced`] on each, and reduces the streamed
+//! [`SuperstepBarrier`], runs [`run_worker`] on each, and reduces the streamed
 //! metrics deterministically. Differential tests (below and in
 //! `tests/determinism.rs`) pin its output to the sequential reference
 //! bit-for-bit.
@@ -9,7 +9,7 @@
 use crate::barrier::SuperstepBarrier;
 use crate::plane::{BroadcastPlane, ChannelPlane};
 use crate::reduce::reduce_metrics;
-use crate::worker::{run_worker_traced, MetricsSlice, WorkerError, WorkerOutput};
+use crate::worker::{run_worker, MetricsSlice, WorkerError, WorkerOptions, WorkerOutput};
 use graphh_core::exec::{ExecutionPlan, Executor};
 use graphh_core::gab::GabProgram;
 use graphh_core::{EngineError, GraphHConfig, RunResult};
@@ -79,7 +79,7 @@ impl Executor for ThreadedExecutor {
                         let tracer = tracer.clone();
                         scope.spawn(move || {
                             let sid = plane.server_id();
-                            run_worker_traced(
+                            run_worker(
                                 config,
                                 plan,
                                 partitioned,
@@ -89,6 +89,7 @@ impl Executor for ThreadedExecutor {
                                 barrier,
                                 &metrics_tx,
                                 &tracer,
+                                WorkerOptions::default(),
                             )
                         })
                     })

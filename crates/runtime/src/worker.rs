@@ -180,9 +180,9 @@ fn plane_error(e: PlaneError) -> WorkerError {
     }
 }
 
-/// Optional behaviors of [`run_worker_with`] beyond the plain superstep loop.
-/// [`Default`] is exactly the historical behavior — fresh start at superstep
-/// 0, no checkpoints, no delay — and is what every existing entry point uses.
+/// Optional behaviors of [`run_worker`] beyond the plain superstep loop.
+/// [`Default`] is a fresh start at superstep 0, no checkpoints, no delay —
+/// what every in-process executor uses.
 #[derive(Default)]
 pub struct WorkerOptions {
     /// First superstep to execute. Non-zero when resuming from a checkpoint:
@@ -214,68 +214,18 @@ pub struct WorkerOptions {
 /// unblocked: the plane gets an abort frame (releases peers draining their
 /// inbox) and the barrier is poisoned (releases peers already parked at the
 /// superstep boundary). Skipping either would deadlock the other group.
+///
+/// The worker records phase spans on lane `1 + sid` of `tracer`; its server's
+/// pool jobs land on lanes `100 * (1 + sid) + worker_index` (see
+/// `docs/OBSERVABILITY.md`). With the tracer off ([`Tracer::off`]) every span
+/// call is a no-op that reads no clock and allocates nothing — the contract
+/// `tests/alloc_count.rs` pins.
+///
+/// `options` carries checkpoint-resumed runs
+/// ([`WorkerOptions::start_superstep`] plus the restored values/frontier) and
+/// periodic checkpoint writing; `WorkerOptions::default()` is a fresh run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_worker(
-    config: &GraphHConfig,
-    plan: &ExecutionPlan,
-    partitioned: &PartitionedGraph,
-    program: &dyn GabProgram,
-    sid: ServerId,
-    plane: &mut dyn BroadcastPlane,
-    barrier: &SuperstepBarrier,
-    metrics_tx: &Sender<MetricsSlice>,
-) -> Result<WorkerOutput, WorkerError> {
-    run_worker_traced(
-        config,
-        plan,
-        partitioned,
-        program,
-        sid,
-        plane,
-        barrier,
-        metrics_tx,
-        &Tracer::off(),
-    )
-}
-
-/// [`run_worker`] recording phase spans into `tracer`.
-///
-/// The worker records on lane `1 + sid`; its server's pool jobs land on lanes
-/// `100 * (1 + sid) + worker_index` (see `docs/OBSERVABILITY.md`). With the
-/// tracer off ([`Tracer::off`]) every span call is a no-op that reads no clock
-/// and allocates nothing — the contract `tests/alloc_count.rs` pins.
-#[allow(clippy::too_many_arguments)]
-pub fn run_worker_traced(
-    config: &GraphHConfig,
-    plan: &ExecutionPlan,
-    partitioned: &PartitionedGraph,
-    program: &dyn GabProgram,
-    sid: ServerId,
-    plane: &mut dyn BroadcastPlane,
-    barrier: &SuperstepBarrier,
-    metrics_tx: &Sender<MetricsSlice>,
-    tracer: &Tracer,
-) -> Result<WorkerOutput, WorkerError> {
-    run_worker_with(
-        config,
-        plan,
-        partitioned,
-        program,
-        sid,
-        plane,
-        barrier,
-        metrics_tx,
-        tracer,
-        WorkerOptions::default(),
-    )
-}
-
-/// [`run_worker_traced`] with explicit [`WorkerOptions`] — the entry point
-/// for checkpoint-resumed runs ([`WorkerOptions::start_superstep`] plus the
-/// restored values/frontier) and periodic checkpoint writing. With
-/// `WorkerOptions::default()` it is exactly `run_worker_traced`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_worker_with(
     config: &GraphHConfig,
     plan: &ExecutionPlan,
     partitioned: &PartitionedGraph,
@@ -651,6 +601,8 @@ mod tests {
             &mut plane,
             &barrier,
             &metrics_tx,
+            &Tracer::off(),
+            WorkerOptions::default(),
         )
         .expect_err("oversized range must abort cleanly");
         let rendered = err.error.to_string();

@@ -542,8 +542,9 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
     use graphh::cluster::{BroadcastEncoding, BroadcastMessage};
     use graphh::core::exec::ExecutionPlan;
     use graphh::graph::ids::ServerId;
+    use graphh::obs::Tracer;
     use graphh::runtime::plane::{PlaneError, WireMessage};
-    use graphh::runtime::{run_worker, BroadcastPlane, SuperstepBarrier};
+    use graphh::runtime::{run_worker, BroadcastPlane, SuperstepBarrier, WorkerOptions};
     use std::sync::mpsc::channel;
 
     /// Feeds the worker one attacker-controlled payload per superstep.
@@ -610,6 +611,8 @@ fn corrupt_wire_bytes_on_the_push_path_error_but_never_panic() {
                 &mut plane,
                 &barrier,
                 &metrics_tx,
+                &Tracer::off(),
+                WorkerOptions::default(),
             )
             .map(|out| out.supersteps_run)
         }));
